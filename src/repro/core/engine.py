@@ -142,7 +142,7 @@ class AceEngine:
         duration = max(sram_time, alu_time) + control_time
         _, start, finish = self.fsms.acquire(phase_name, earliest_start, duration)
         if touched_bytes:
-            self.sram_pipe.reserve(touched_bytes, start)
+            self.sram_pipe.reserve_times(touched_bytes, start)
         if reduce_bytes:
             self.alus.reduce(reduce_bytes, start)
         return finish

@@ -102,9 +102,9 @@ class BaselineEndpoint(Endpoint):
         finish = earliest_start
         if read_bytes > 0:
             mem = self._comm_memory.read(read_bytes, earliest_start)
-            sm = self._sm_pipe.reserve(read_bytes, earliest_start)
+            _, sm_finish = self._sm_pipe.reserve_times(read_bytes, earliest_start)
             bus = self.bus.transfer(work.send_bytes + work.forward_bytes, earliest_start)
-            finish = max(mem.finish, sm.finish, bus.finish)
+            finish = max(mem.finish, sm_finish, bus.finish)
         if write_bytes > 0:
             self._comm_memory.write(write_bytes, earliest_start)
         return finish + self.PHASE_SOFTWARE_LATENCY_NS

@@ -47,16 +47,25 @@ class DmaEngine:
         )
 
     def transfer(self, num_bytes: float, earliest_start: float) -> Reservation:
-        """Move ``num_bytes``; returns the completion reservation of the slowest leg."""
-        legs = [self._engine.reserve(num_bytes, earliest_start)]
+        """Move ``num_bytes``; returns the completion reservation of the slowest leg.
+
+        Legs are booked engine, bus, memory; on a tie the earlier leg wins.
+        """
+        start, finish = self._engine.reserve_times(num_bytes, earliest_start)
+        slowest = None
         if self.bus is not None:
-            legs.append(self.bus.transfer(num_bytes, earliest_start))
+            leg = self.bus.transfer(num_bytes, earliest_start)
+            if leg.finish > finish:
+                slowest, finish = leg, leg.finish
         if self.memory is not None:
             if self.direction == "tx":
-                legs.append(self.memory.read(num_bytes, earliest_start))
+                leg = self.memory.read(num_bytes, earliest_start)
             else:
-                legs.append(self.memory.write(num_bytes, earliest_start))
-        slowest = max(legs, key=lambda r: r.finish)
+                leg = self.memory.write(num_bytes, earliest_start)
+            if leg.finish > finish:
+                slowest = leg
+        if slowest is None:
+            return Reservation(start, finish, num_bytes, earliest_start)
         return slowest
 
     @property

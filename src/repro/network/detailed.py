@@ -237,9 +237,7 @@ class DetailedBackend(NetworkBackend):
                 first_start = float(starts[0])
         assert first_start is not None
         finish = max(max(ready), earliest_start)
-        result = Reservation(start=first_start, finish=finish, num_bytes=num_bytes)
-        object.__setattr__(result, "requested", earliest_start)
-        return result
+        return Reservation(first_start, finish, num_bytes, earliest_start)
 
     def transfer(
         self,
@@ -282,57 +280,18 @@ class DetailedBackend(NetworkBackend):
         _, steps, num_messages, bytes_per_port = self._carve(
             dimension, num_bytes, steps
         )
-        primary = self._primary[dimension]
-        reserve_times = primary.reserve_times
-        schedule_at = sim.schedule_at
-        issuing = self._issuing
-        issuing[dimension] += 1
+        self._issuing[dimension] += 1
         self.transfers_started += 1
-        state = {"outstanding": 0, "finish": sim.now}
-
-        def hop(step: int) -> None:
-            # A message's finish is never before sim.now, so the reservation
-            # finish is the arrival at the next hop.
-            _, arrival = reserve_times(bytes_per_port, sim.now)
-            if step + 1 < steps:
-                schedule_at(arrival, hop, step + 1)
-                return
-            state["outstanding"] -= 1
-            state["finish"] = max(state["finish"], arrival)
-            if state["outstanding"] == 0:
-                # Last request booked: successors may coalesce from here on.
-                issuing[dimension] -= 1
-                schedule_at(state["finish"], on_complete, state["finish"])
-
-        sizes = [bytes_per_port] * num_messages
-
-        def bulk_step(step: int, ready: List[float]) -> None:
-            # sim.now == ready[0]; later messages' ready times ride along in
-            # the batch's per-request earliest-start sequence.
-            if issuing[dimension] > 1:
-                # A competing issuer appeared at this step boundary: preserve
-                # contention interleaving by walking the remaining steps
-                # per message, each hop re-entering at its arrival time.
-                state["outstanding"] += num_messages
-                for ready_m in ready:
-                    schedule_at(ready_m, hop, step)
-                return
-            _, arrival = primary.reserve_batch(sizes, ready)
-            if step + 1 < steps:
-                schedule_at(arrival[0], bulk_step, step + 1, arrival)
-                return
-            finish = max(arrival)
-            issuing[dimension] -= 1
-            schedule_at(finish, on_complete, finish)
-
-        if self.coalesce and issuing[dimension] == 1:
+        walk = _RingWalk(
+            self, sim, dimension, steps, num_messages, bytes_per_port, on_complete
+        )
+        if self.coalesce and self._issuing[dimension] == 1:
             self.transfers_coalesced += 1
-            bulk_step(0, [sim.now] * num_messages)
+            walk.bulk_step(0, [sim.now] * walk.num_messages)
             return
-
-        state["outstanding"] = num_messages
-        for _ in range(num_messages):
-            hop(0)
+        walk.outstanding = walk.num_messages
+        for _ in range(walk.num_messages):
+            walk.hop(0)
 
     # ------------------------------------------------------------------
     # Observability
@@ -465,3 +424,90 @@ class DetailedBackend(NetworkBackend):
             for d, ports in self._ports.items()
         )
         return f"DetailedBackend({self.topology.name}: {dims})"
+
+
+class _RingWalk:
+    """One event-mode transfer's walk around a dimension's ring.
+
+    Its methods are the walk's simulator callbacks: :meth:`bulk_step` books
+    a whole step's messages while the transfer is the dimension's sole
+    issuer, :meth:`hop` books one message of one step.  Scheduling bound
+    methods of a plain object (rather than self-referencing closures)
+    leaves no reference cycle, so a finished walk is freed at once instead
+    of waiting for the cyclic garbage collector.
+    """
+
+    __slots__ = (
+        "sim",
+        "issuing",
+        "dimension",
+        "primary",
+        "steps",
+        "num_messages",
+        "bytes_per_port",
+        "sizes",
+        "on_complete",
+        "outstanding",
+        "latest",
+    )
+
+    def __init__(
+        self,
+        backend: "DetailedBackend",
+        sim: Simulator,
+        dimension: str,
+        steps: int,
+        num_messages: int,
+        bytes_per_port: float,
+        on_complete: Callable[[float], None],
+    ) -> None:
+        self.sim = sim
+        self.issuing = backend._issuing
+        self.dimension = dimension
+        self.primary = backend._primary[dimension]
+        self.steps = steps
+        self.num_messages = num_messages
+        self.bytes_per_port = bytes_per_port
+        self.sizes = [bytes_per_port] * num_messages
+        self.on_complete = on_complete
+        #: Messages still walking the per-message path.
+        self.outstanding = 0
+        #: Latest arrival of a per-message walk's final step so far.
+        self.latest = sim.now
+
+    def hop(self, step: int) -> None:
+        """Book one message's ``step``; chain its next step at its arrival."""
+        sim = self.sim
+        # A message's finish is never before sim.now, so the reservation
+        # finish is the arrival at the next hop.
+        _, arrival = self.primary.reserve_times(self.bytes_per_port, sim.now)
+        if step + 1 < self.steps:
+            sim.schedule_at(arrival, self.hop, step + 1)
+            return
+        self.outstanding -= 1
+        self.latest = max(self.latest, arrival)
+        if self.outstanding == 0:
+            # Last request booked: successors may coalesce from here on.
+            self.issuing[self.dimension] -= 1
+            sim.schedule_at(self.latest, self.on_complete, self.latest)
+
+    def bulk_step(self, step: int, ready: List[float]) -> None:
+        """Book all messages of ``step`` in one batch reservation."""
+        sim = self.sim
+        # sim.now == ready[0]; later messages' ready times ride along in
+        # the batch's per-request earliest-start sequence.
+        if self.issuing[self.dimension] > 1:
+            # A competing issuer appeared at this step boundary: preserve
+            # contention interleaving by walking the remaining steps
+            # per message, each hop re-entering at its arrival time.
+            self.outstanding += self.num_messages
+            for ready_m in ready:
+                sim.schedule_at(ready_m, self.hop, step)
+            return
+        _, arrival = self.primary.reserve_batch(self.sizes, ready)
+        if step + 1 < self.steps:
+            sim.schedule_at(arrival[0], self.bulk_step, step + 1, arrival)
+            return
+        finish = max(arrival)
+        self.issuing[self.dimension] -= 1
+        sim.schedule_at(finish, self.on_complete, finish)

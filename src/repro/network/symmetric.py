@@ -46,6 +46,9 @@ class DimensionPipe:
             latency_ns=latency_ns,
             trace=self.tracer,
         )
+        # Bound straight to the pipe: the fabric books through this once
+        # per chunk-phase, where a delegation frame is measurable.
+        self.reserve_times = self._pipe.reserve_times
 
     def reserve(self, num_bytes: float, earliest_start: float) -> Reservation:
         """Serialise ``num_bytes`` through this dimension's ring links."""
@@ -156,17 +159,9 @@ class SymmetricFabric(NetworkBackend):
         paid again per extra step).
         """
         pipe = self.pipe(dimension)
-        reservation = pipe.reserve(num_bytes, earliest_start)
+        start, finish = pipe.reserve_times(num_bytes, earliest_start)
         extra_latency = max(0, steps - 1) * pipe.latency_ns
-        if extra_latency == 0:
-            return reservation
-        adjusted = Reservation(
-            start=reservation.start,
-            finish=reservation.finish + extra_latency,
-            num_bytes=num_bytes,
-        )
-        object.__setattr__(adjusted, "requested", earliest_start)
-        return adjusted
+        return Reservation(start, finish + extra_latency, num_bytes, earliest_start)
 
     # ------------------------------------------------------------------
     # Aggregate statistics

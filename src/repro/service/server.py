@@ -12,8 +12,8 @@
   instead of re-simulating, so two concurrent clients submitting
   overlapping sweeps simulate each unique spec exactly once.  The
   completion path stores the result in the cache *before* removing the
-  table entry (both under the lock), so there is no window in which a
-  third request would find neither.
+  table entry (the store outside the lock, the removal under it), so
+  there is no window in which a third request would find neither.
 * **Shared cache** — a :class:`~repro.runner.ResultCache` (shard-aware on
   disk, write-through in memory) consulted before the table; a daemon with
   a persistent ``REPRO_CACHE_DIR`` serves repeat sweeps without touching
@@ -211,17 +211,21 @@ class SweepService:
     def _submit(self, job: SimJob, key: str) -> concurrent.futures.Future:
         """Dispatch one unique job to the pool; returns the attachable future.
 
-        The returned future resolves to the wire triple *after* the
-        completion bookkeeping ran: the result is stored in the cache before
-        the single-flight entry is dropped (both under the lock), so any
-        request observes the key in exactly one of cache / in-flight table.
+        Called with the lock held.  The returned future resolves to the wire
+        triple *after* the completion bookkeeping ran.  Completion stores
+        the result in the cache *before* it drops the single-flight entry,
+        so a request always observes the key in at least one of cache /
+        in-flight table (briefly in both).  The store runs outside the lock:
+        a disk write must not stall the cached hits every request serves
+        under it.
+
+        A ``submit`` that raises (e.g. a broken pool) registers nothing and
+        resolves to the job's ``"error"`` outcome, so a retry of the same
+        spec submits afresh instead of attaching to a future that never
+        completes.
         """
         assert self._executor is not None
         done: concurrent.futures.Future = concurrent.futures.Future()
-        # Register before submitting: if the job finishes fast enough that
-        # add_done_callback runs _complete synchronously, it must find (and
-        # pop) a real in-flight entry, not race a later insertion.
-        self._inflight[key] = done
 
         def _complete(finished: concurrent.futures.Future) -> None:
             try:
@@ -230,15 +234,24 @@ class SweepService:
                 # A worker died (e.g. BrokenProcessPool) — surface it as a
                 # per-job error outcome rather than poisoning the service.
                 status, payload, duration = "error", traceback.format_exc(), 0.0
+            if status == "ok":
+                self.cache.store(job, payload, key=key)
             with self._lock:
-                if status == "ok":
-                    self.cache.store(job, payload, key=key)
-                else:
+                if status != "ok":
                     self._stats.errors += 1
                 self._inflight.pop(key, None)
             done.set_result((status, payload, duration))
 
-        raw = self._executor.submit(self._execute_fn, job.to_json())
+        try:
+            raw = self._executor.submit(self._execute_fn, job.to_json())
+        except Exception:
+            self._stats.errors += 1
+            done.set_result(("error", traceback.format_exc(), 0.0))
+            return done
+        # Register after submit succeeded but before the callback is
+        # attached: a job that already finished runs _complete synchronously
+        # inside add_done_callback, and it must find (and pop) this entry.
+        self._inflight[key] = done
         raw.add_done_callback(_complete)
         return done
 

@@ -25,8 +25,7 @@ Both resources can operate in two modes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -35,13 +34,18 @@ from repro.sim.engine import Simulator
 from repro.sim.trace import IntervalTracer
 
 
-@dataclass(frozen=True)
-class Reservation:
-    """Outcome of a bandwidth reservation."""
+class Reservation(NamedTuple):
+    """Outcome of a bandwidth reservation.
+
+    A slotted immutable record: one is built per booking on the simulator's
+    hot path, so it is a plain tuple subclass rather than a dataclass.
+    ``requested`` is the earliest start the caller asked for.
+    """
 
     start: float
     finish: float
     num_bytes: float
+    requested: Optional[float] = None
 
     @property
     def duration(self) -> float:
@@ -51,10 +55,6 @@ class Reservation:
     def queuing_delay(self) -> float:
         """How long the request waited behind earlier requests."""
         return 0.0 if self.requested is None else max(0.0, self.start - self.requested)
-
-    # ``requested`` is attached post-hoc via object.__setattr__ in reserve();
-    # default None keeps the dataclass frozen-friendly.
-    requested: Optional[float] = None
 
 
 class BandwidthResource:
@@ -102,28 +102,16 @@ class BandwidthResource:
         Returns the FIFO-consistent start and finish times and advances the
         internal "next free" pointer.
         """
-        if num_bytes < 0:
-            raise ResourceError(f"{self.name}: cannot transfer negative bytes ({num_bytes})")
-        start = max(earliest_start, self._next_free)
-        serialization = num_bytes / self.bandwidth_gbps
-        finish = start + serialization + self.latency_ns
-        self._next_free = start + serialization
-        self._busy_time += serialization
-        self._bytes_moved += num_bytes
-        self._requests += 1
-        if self.trace is not None and serialization > 0:
-            self.trace.record(start, start + serialization)
-        reservation = Reservation(start=start, finish=finish, num_bytes=num_bytes)
-        object.__setattr__(reservation, "requested", earliest_start)
-        return reservation
+        start, finish = self.reserve_times(num_bytes, earliest_start)
+        return Reservation(start, finish, num_bytes, earliest_start)
 
     def reserve_times(self, num_bytes: float, earliest_start: float) -> Tuple[float, float]:
-        """:meth:`reserve` without the :class:`Reservation` wrapper.
+        """Book one FIFO request; returns the bare ``(start, finish)`` pair.
 
-        Identical FIFO queuing, accounting and tracing; returns the bare
-        ``(start, finish)`` pair.  The detailed backend's per-message event
-        path calls this tens of thousands of times per run, where the frozen
-        dataclass construction is measurable overhead.
+        The FIFO arithmetic, accounting and tracing of every single request
+        live here; :meth:`reserve` wraps the pair in a :class:`Reservation`.
+        Callers that build their own record (or need none, like the
+        detailed backend's per-message hops) call this directly.
         """
         if num_bytes < 0:
             raise ResourceError(f"{self.name}: cannot transfer negative bytes ({num_bytes})")

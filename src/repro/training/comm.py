@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Union
+from typing import Deque, Dict, List, Optional, Tuple, Union
 
 from repro.collectives.base import CollectiveOp, CollectivePlan
 from repro.collectives.planner import AUTO, algorithm_implements, plan_collective
@@ -34,6 +34,11 @@ from repro.sim.engine import Simulator
 from repro.sim.process import Signal
 
 _collective_ids = itertools.count()
+
+#: A compiled chunk walk: the plan's stages in execution order, each a tuple
+#: of ``(work, on_fabric)`` pairs — the phase's endpoint work for one chunk
+#: size and whether its bytes go out on a fabric dimension.
+ChunkWalk = Tuple[Tuple[Tuple[PhaseWork, bool], ...], ...]
 
 
 @dataclass
@@ -69,10 +74,6 @@ class CollectiveHandle:
 class _PendingCollective:
     handle: CollectiveHandle
     chunk_sizes: Deque[int] = field(default_factory=deque)
-
-    @property
-    def exhausted(self) -> bool:
-        return not self.chunk_sizes
 
 
 class CollectiveExecutor:
@@ -137,9 +138,12 @@ class CollectiveExecutor:
         # Configure the endpoint for the dominant (all-reduce) plan up front;
         # ACE programs its FSMs for these phases plus all-to-all.
         self._plans: Dict[CollectiveOp, CollectivePlan] = {}
+        self._walks: Dict[Tuple[CollectiveOp, int], ChunkWalk] = {}
         if topology.num_nodes > 1:
             self.endpoint.configure(self._plan(CollectiveOp.ALL_REDUCE))
-        self._pending: List[_PendingCollective] = []
+        #: Collectives with chunks still to admit, in issue order; one is
+        #: dropped the moment its last chunk is admitted.
+        self._pending: Deque[_PendingCollective] = deque()
         self._inflight_chunks = 0
         self._handles: List[CollectiveHandle] = []
 
@@ -165,6 +169,40 @@ class CollectiveExecutor:
                 network=self.system.network,
             )
         return self._plans[op]
+
+    def _walk(self, op: CollectiveOp, chunk_size: int) -> ChunkWalk:
+        """The compiled walk of one ``chunk_size`` chunk of ``op``, built once.
+
+        Everything a stage needs that does not change from chunk to chunk —
+        the plan's stages, each phase's :class:`PhaseWork` (with its global
+        phase index and first/last-stage flags) and whether the phase sends
+        on a fabric dimension — is computed here instead of per event.
+        """
+        key = (op, chunk_size)
+        walk = self._walks.get(key)
+        if walk is None:
+            stages = self._plan(op).stages()
+            last = len(stages) - 1
+            phase_index = 0
+            compiled = []
+            for stage_index, stage in enumerate(stages):
+                steps = []
+                for phase in stage:
+                    work = PhaseWork.from_phase(
+                        phase,
+                        phase_index=phase_index,
+                        chunk_bytes=chunk_size,
+                        is_first=stage_index == 0,
+                        is_last=stage_index == last,
+                    )
+                    on_fabric = work.send_bytes > 0 and self.fabric.has_dimension(
+                        phase.dimension
+                    )
+                    steps.append((work, on_fabric))
+                    phase_index += 1
+                compiled.append(tuple(steps))
+            walk = self._walks[key] = tuple(compiled)
+        return walk
 
     # ------------------------------------------------------------------
     # Issue
@@ -217,25 +255,25 @@ class CollectiveExecutor:
     # ------------------------------------------------------------------
     # Admission and chunk execution
     # ------------------------------------------------------------------
-    def _select_pending(self) -> Optional[_PendingCollective]:
-        """Pick the next collective to serve according to the scheduling policy."""
-        candidates = [p for p in self._pending if not p.exhausted]
-        if not candidates:
-            return None
-        if self.scheduling == "lifo":
-            return candidates[-1]
-        return candidates[0]
-
     def _try_admit(self) -> None:
+        """Admit chunks up to the endpoint's capacity.
+
+        ``_pending`` holds only collectives with chunks left, so the policy
+        picks an end of it directly: LIFO serves the newest collective, FIFO
+        the oldest.
+        """
         capacity = self.endpoint.chunk_capacity()
-        while self._inflight_chunks < capacity:
-            pending = self._select_pending()
-            if pending is None:
-                break
-            chunk_size = pending.chunk_sizes.popleft()
-            if pending.exhausted:
-                self._pending.remove(pending)
-            self._admit_chunk(pending.handle, chunk_size)
+        pending = self._pending
+        lifo = self.scheduling == "lifo"
+        while pending and self._inflight_chunks < capacity:
+            collective = pending[-1] if lifo else pending[0]
+            chunk_size = collective.chunk_sizes.popleft()
+            if not collective.chunk_sizes:
+                if lifo:
+                    pending.pop()
+                else:
+                    pending.popleft()
+            self._admit_chunk(collective.handle, chunk_size)
 
     def _admit_chunk(self, handle: CollectiveHandle, chunk_size: int) -> None:
         """Admit one chunk: it will walk its plan stages as an event chain.
@@ -257,120 +295,97 @@ class CollectiveExecutor:
 
     def _start_chunk(self, handle: CollectiveHandle, chunk_size: int, admitted_at: float) -> None:
         staged = self.endpoint.ingress(chunk_size, self.sim.now)
+        walk = self._walk(handle.op, chunk_size)
         self.sim.schedule_at(
-            staged, self._start_stage, handle, chunk_size, 0, admitted_at
+            staged, self._start_stage, handle, walk, chunk_size, 0, admitted_at
         )
 
     def _start_stage(
         self,
         handle: CollectiveHandle,
+        walk: ChunkWalk,
         chunk_size: int,
         stage_index: int,
         admitted_at: float,
     ) -> None:
-        """Run one stage of the chunk's plan; chain the next stage at its finish."""
-        plan = handle.plan
-        assert plan is not None
-        stages = plan.stages()
-        if stage_index >= len(stages):
-            done_at = self.endpoint.egress(chunk_size, self.sim.now)
+        """Run one stage of the chunk's walk; chain the next stage at its finish."""
+        now = self.sim.now
+        if stage_index >= len(walk):
+            done_at = self.endpoint.egress(chunk_size, now)
             self.endpoint.activity.record(admitted_at, done_at)
             self.sim.schedule_at(done_at, self._chunk_done, handle)
             return
-        now = self.sim.now
-        stage = stages[stage_index]
-        phase_offset = sum(len(s) for s in stages[:stage_index])
-        event_driven = self.fabric.event_driven
-        stage_finish = now
-        # Completion-token pattern: the issuing frame holds one token so a
-        # backend whose transfer() delivers on_complete synchronously cannot
-        # drain the count to zero (and double-schedule the next stage) while
-        # transfers are still being issued.
-        pending = {"outstanding": 1, "finish": now}
-        for within_stage, phase in enumerate(stage):
-            work = PhaseWork.from_phase(
-                phase,
-                phase_index=phase_offset + within_stage,
-                chunk_bytes=chunk_size,
-                is_first=stage_index == 0,
-                is_last=stage_index == len(stages) - 1,
-            )
-            ready = self.endpoint.process_phase(work, now)
-            finish = ready
-            if work.send_bytes > 0 and self.fabric.has_dimension(phase.dimension):
-                if event_driven:
-                    pending["outstanding"] += 1
-                    self.fabric.transfer(
-                        self.sim,
-                        phase.dimension,
-                        work.send_bytes,
-                        phase.steps,
-                        self._make_transfer_callback(
-                            pending, ready, handle, chunk_size, stage_index, admitted_at
-                        ),
-                    )
-                    continue
-                reservation = self.fabric.reserve(
-                    phase.dimension, work.send_bytes, now, steps=phase.steps
-                )
-                finish = max(ready, reservation.finish)
-            stage_finish = max(stage_finish, finish)
-        if not event_driven:
-            self.sim.schedule_at(
-                stage_finish, self._start_stage, handle, chunk_size, stage_index + 1, admitted_at
-            )
+        if self.fabric.event_driven:
+            self._start_event_stage(handle, walk, chunk_size, stage_index, admitted_at)
             return
-        # Release the issuing frame's token; schedules the next stage here
-        # when no transfer is still outstanding.
-        pending["finish"] = max(pending["finish"], stage_finish)
-        self._release_stage_token(pending, handle, chunk_size, stage_index, admitted_at)
+        stage_finish = now
+        for work, on_fabric in walk[stage_index]:
+            finish = self.endpoint.process_phase(work, now)
+            if on_fabric:
+                reservation = self.fabric.reserve(
+                    work.dimension, work.send_bytes, now, steps=work.steps
+                )
+                finish = max(finish, reservation.finish)
+            stage_finish = max(stage_finish, finish)
+        self.sim.schedule_at(
+            stage_finish, self._start_stage, handle, walk, chunk_size, stage_index + 1, admitted_at
+        )
 
-    def _release_stage_token(
+    def _start_event_stage(
         self,
-        pending: Dict[str, float],
         handle: CollectiveHandle,
+        walk: ChunkWalk,
         chunk_size: int,
         stage_index: int,
         admitted_at: float,
     ) -> None:
-        """Drop one completion token; chain the next stage on the last one."""
-        pending["outstanding"] -= 1
-        if pending["outstanding"] == 0:
-            self.sim.schedule_at(
-                max(pending["finish"], self.sim.now),
-                self._start_stage,
-                handle,
-                chunk_size,
-                stage_index + 1,
-                admitted_at,
-            )
+        """:meth:`_start_stage` for a backend whose transfers are events.
 
-    def _make_transfer_callback(
-        self,
-        pending: Dict[str, float],
-        ready: float,
-        handle: CollectiveHandle,
-        chunk_size: int,
-        stage_index: int,
-        admitted_at: float,
-    ):
-        """Completion hook for one event-mode phase transfer.
-
-        Folds ``max(endpoint ready, network finish)`` into the stage's
-        running finish time and releases the transfer's completion token.
-        Safe for backends that invoke ``on_complete`` synchronously from
-        :meth:`~repro.network.backend.NetworkBackend.transfer`: the issuing
-        frame holds its own token, so the next stage can never be scheduled
-        twice.
+        Completion-token pattern: the issuing frame holds one token so a
+        backend whose ``transfer()`` delivers ``on_complete`` synchronously
+        cannot drain the count to zero (and schedule the next stage twice)
+        while transfers are still being issued.  Each transfer's completion
+        folds ``max(endpoint ready, network finish)`` into the stage's
+        running finish time and releases its token; the last release
+        schedules the next stage.
         """
+        sim = self.sim
+        now = sim.now
+        outstanding = 1
+        stage_finish = now
 
-        def _done(network_finish: float) -> None:
-            pending["finish"] = max(pending["finish"], ready, network_finish)
-            self._release_stage_token(
-                pending, handle, chunk_size, stage_index, admitted_at
-            )
+        def release(finish: float) -> None:
+            nonlocal outstanding, stage_finish
+            stage_finish = max(stage_finish, finish)
+            outstanding -= 1
+            if outstanding == 0:
+                sim.schedule_at(
+                    max(stage_finish, sim.now),
+                    self._start_stage,
+                    handle,
+                    walk,
+                    chunk_size,
+                    stage_index + 1,
+                    admitted_at,
+                )
 
-        return _done
+        for work, on_fabric in walk[stage_index]:
+            ready = self.endpoint.process_phase(work, now)
+            if on_fabric:
+                outstanding += 1
+                self.fabric.transfer(
+                    sim,
+                    work.dimension,
+                    work.send_bytes,
+                    work.steps,
+                    lambda network_finish, ready=ready: release(
+                        max(ready, network_finish)
+                    ),
+                )
+                continue
+            stage_finish = max(stage_finish, ready)
+        # Release the issuing frame's token.
+        release(stage_finish)
 
     def _chunk_done(self, handle: CollectiveHandle) -> None:
         self._inflight_chunks -= 1

@@ -5,10 +5,13 @@ import pytest
 from repro.collectives.base import CollectiveOp
 from repro.config.presets import make_system
 from repro.errors import SchedulingError
+from repro.experiments.common import chunk_bytes_for
 from repro.network.topology import Torus3D
 from repro.sim.engine import Simulator
 from repro.training.comm import CollectiveExecutor
+from repro.training.loop import TrainingLoop
 from repro.units import KB, MB
+from repro.workloads.registry import build_workload
 
 
 def _executor(system_name="ideal", shape=(4, 2, 2), chunk_bytes=64 * KB, **overrides):
@@ -144,3 +147,35 @@ class TestEndpointInteraction:
         done = executor.all_done_signal()
         sim.run()
         assert done.fired
+
+
+#: Exact outputs of resnet50 at 16 NPUs (fast-mode chunks, 2 iterations):
+#: ``(iteration_time_us, bytes_injected, Simulator.events_processed)``.
+#: Compared with ``==``: the simulator is deterministic, so a hot-path
+#: change that moves a result by even the last ulp, or adds or drops an
+#: event, fails here.
+EXACT_PINS = {
+    ("baseline_no_overlap", "symmetric"): (3317.844128250765, 204023296.0, 5785),
+    ("baseline_comm_opt", "symmetric"): (3999.664508777955, 204023296.0, 5939),
+    ("baseline_comp_opt", "symmetric"): (3155.246587690199, 204023296.0, 5939),
+    ("ace", "symmetric"): (3088.857454291284, 204023296.0, 5939),
+    ("ideal", "symmetric"): (2960.1612954730513, 204023296.0, 5939),
+    ("ace", "detailed"): (3088.8574542912843, 204023296.0, 21685),
+}
+
+
+@pytest.mark.parametrize(
+    "system_name,backend", list(EXACT_PINS), ids=[f"{s}-{b}" for s, b in EXACT_PINS]
+)
+def test_resnet50_16npu_outputs_are_exact(system_name, backend):
+    loop = TrainingLoop(
+        system=make_system(system_name),
+        topology=16,
+        workload=build_workload("resnet50"),
+        iterations=2,
+        chunk_bytes=chunk_bytes_for("resnet50", fast=True),
+        backend=backend,
+    )
+    result = loop.run()
+    observed = (result.iteration_time_us, result.bytes_injected, loop.sim.events_processed)
+    assert observed == EXACT_PINS[(system_name, backend)]

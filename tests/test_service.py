@@ -15,8 +15,10 @@ The headline guarantees under test:
 
 from __future__ import annotations
 
+import concurrent.futures
 import threading
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -153,6 +155,103 @@ class TestSingleFlight:
         stats = service.stats()
         assert stats["errors"] == 2
         assert stats["executed"] == 2  # retried, not served from cache
+
+
+class _BrokenPool(concurrent.futures.Executor):
+    """An executor whose every submit fails the way a dead process pool does."""
+
+    def __init__(self) -> None:
+        self.submits = 0
+
+    def submit(self, fn, *args, **kwargs):
+        self.submits += 1
+        raise BrokenProcessPool("a worker process died")
+
+
+def _run_in_thread(service, jobs, timeout=30):
+    """``service.run_jobs(jobs)``, failing the test instead of hanging."""
+    results = []
+
+    def run():
+        try:
+            results.append(service.run_jobs(jobs))
+        except Exception as exc:  # reported below on the test's thread
+            results.append(exc)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=timeout)
+    assert not thread.is_alive(), "run_jobs blocked"
+    assert not isinstance(results[0], Exception), f"run_jobs raised {results[0]!r}"
+    return results[0]
+
+
+class TestFailureBookkeeping:
+    def test_failed_submit_is_an_error_and_leaves_no_inflight_entry(self):
+        service = SweepService(workers=1, cache=ResultCache(), mode="thread")
+        pool = _BrokenPool()
+        service._executor = pool
+        job = network_drive_job("ace", MB, topology=(2, 2, 2))
+
+        first = _run_in_thread(service, [job])
+        assert first[0]["status"] == "error"
+        assert "BrokenProcessPool" in first[0]["payload"]
+        assert service.stats()["inflight"] == 0
+        assert service.stats()["errors"] == 1
+
+        # The retry submits afresh rather than attaching to a dead entry.
+        again = _run_in_thread(service, [job])
+        assert again[0]["status"] == "error"
+        assert again[0]["deduplicated"] is False
+        assert pool.submits == 2
+
+        # Once the pool is healthy again the same spec runs normally.
+        service._executor = None
+        healed = _run_in_thread(service, [job])
+        service.close()
+        assert healed[0]["status"] == "ok"
+        assert service.stats()["inflight"] == 0
+
+    def test_result_is_cached_outside_the_lock_before_the_entry_drops(self):
+        release = threading.Event()
+        observed = {}
+
+        def gated_execute(payload_json):
+            assert release.wait(timeout=30), "test gate never released"
+            return ("ok", {"__result__": "json", "value": 1}, 0.01)
+
+        class ProbeCache(ResultCache):
+            def store(self, job, payload, key=None):
+                observed["inflight"] = key in service._inflight
+                # Another thread can take the service lock while the store
+                # runs, so the store is not holding it.
+                acquired = []
+
+                def try_lock():
+                    if service._lock.acquire(timeout=5):
+                        service._lock.release()
+                        acquired.append(True)
+
+                probe = threading.Thread(target=try_lock)
+                probe.start()
+                probe.join()
+                observed["lock_free"] = bool(acquired)
+                super().store(job, payload, key=key)
+
+        service = SweepService(workers=1, cache=ProbeCache(), execute_fn=gated_execute)
+        job = network_drive_job("ace", MB, topology=(2, 2, 2))
+        results = []
+        runner = threading.Thread(target=lambda: results.append(service.run_jobs([job])))
+        runner.start()
+        deadline = time.monotonic() + 30
+        while service.stats()["inflight"] != 1 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        release.set()
+        runner.join(timeout=30)
+        service.close()
+        assert results[0][0]["status"] == "ok"
+        assert observed == {"inflight": True, "lock_free": True}
+        assert service.stats()["inflight"] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Bandwidth and slot resources."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ResourceError
 from repro.sim.engine import Simulator
-from repro.sim.resources import BandwidthResource, SlotResource
+from repro.sim.resources import BandwidthResource, Reservation, SlotResource
 from repro.sim.trace import IntervalTracer
 
 
@@ -86,6 +87,70 @@ class TestBandwidthResource:
         pipe.reserve(100.0, 0.0)
         queued = pipe.reserve(10.0, 0.0)
         assert queued.queuing_delay == pytest.approx(100.0)
+
+
+class TestReservation:
+    def test_is_immutable(self):
+        reservation = BandwidthResource("p", bandwidth_gbps=1.0).reserve(10.0, 0.0)
+        for name in ("start", "finish", "num_bytes", "requested"):
+            with pytest.raises(AttributeError):
+                setattr(reservation, name, 1.0)
+        with pytest.raises(AttributeError):
+            reservation.extra = 1.0
+
+    def test_reserve_records_the_requested_start(self):
+        pipe = BandwidthResource("p", bandwidth_gbps=2.0, latency_ns=5.0)
+        pipe.reserve(100.0, 10.0)
+        queued = pipe.reserve(40.0, 30.0)
+        assert queued == Reservation(start=60.0, finish=85.0, num_bytes=40.0, requested=30.0)
+        assert queued.requested == 30.0
+        assert queued.queuing_delay == 30.0
+        assert queued.duration == 25.0
+
+    def test_requested_defaults_to_none(self):
+        reservation = Reservation(start=4.0, finish=9.0, num_bytes=5.0)
+        assert reservation.requested is None
+        assert reservation.queuing_delay == 0.0
+        assert reservation.duration == 5.0
+
+    def test_no_negative_queuing_delay(self):
+        early = Reservation(start=4.0, finish=9.0, num_bytes=5.0, requested=6.0)
+        assert early.queuing_delay == 0.0
+
+
+_REQUESTS = st.lists(
+    st.tuples(
+        st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+        st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    requests=_REQUESTS,
+    bandwidth=st.floats(min_value=0.5, max_value=500.0),
+    latency=st.floats(min_value=0.0, max_value=1e3),
+)
+def test_reserve_and_reserve_times_book_identically(requests, bandwidth, latency):
+    """The record-building and bare-pair entry points share one FIFO."""
+    pipes = [
+        BandwidthResource("p", bandwidth, latency, trace=IntervalTracer("p"))
+        for _ in range(2)
+    ]
+    for num_bytes, earliest in requests:
+        reservation = pipes[0].reserve(num_bytes, earliest)
+        assert (reservation.start, reservation.finish) == pipes[1].reserve_times(
+            num_bytes, earliest
+        )
+        assert reservation.requested == earliest
+        assert reservation.num_bytes == num_bytes
+    assert pipes[0].next_free == pipes[1].next_free
+    assert pipes[0].busy_time == pipes[1].busy_time
+    assert pipes[0].bytes_moved == pipes[1].bytes_moved
+    assert pipes[0].requests == pipes[1].requests == len(requests)
+    assert pipes[0].trace.intervals == pipes[1].trace.intervals
 
 
 class TestSlotResource:
