@@ -24,7 +24,6 @@ from repro.collectives.base import CollectiveOp
 from repro.collectives.planner import plan_collective
 from repro.config.system import ResourcePolicy, SystemConfig
 from repro.errors import ConfigurationError
-from repro.network.backend import accounting_checks_enabled
 from repro.network.topology import Topology, Torus3D
 from repro.sim.engine import Simulator
 from repro.training.comm import CollectiveExecutor
@@ -82,11 +81,10 @@ def measure_network_drive(
     sim.run()
     if handle.completed_at is None:
         raise ConfigurationError("collective did not complete; check the configuration")
-    if accounting_checks_enabled():
-        # Backend-validation runs assert that no fabric FIFO double-booked
-        # busy time — the failure mode batched/coalesced booking could hide.
-        horizon = max(handle.completed_at, executor.fabric.last_activity(), 1.0)
-        executor.fabric.check_accounting(horizon)
+    # No fabric FIFO may have double-booked busy time: the failure mode
+    # batched/coalesced booking could otherwise hide.
+    horizon = max(handle.completed_at, executor.fabric.last_activity(), 1.0)
+    executor.fabric.check_accounting(horizon)
     duration = handle.completed_at - handle.issued_at
     return NetworkDriveResult(
         system_name=system.name,

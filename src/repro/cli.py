@@ -214,8 +214,7 @@ def _scenario_summary(scenario: Scenario) -> Dict[str, object]:
     figures = [s.spec["figure"] for s in scenario.suites if s.kind == "figure"]
     traces: List[str] = []
     for suite in scenario.suites:
-        if suite.kind == "trace":
-            traces.extend(t for t in suite.spec["traces"] if t not in traces)
+        traces.extend(t for t in suite.spec.get("traces", ()) if t not in traces)
     return {
         "name": scenario.name,
         "suites": len(scenario.suites),

@@ -52,7 +52,6 @@ use ``symmetric``, or raise the cap knowingly.
 from __future__ import annotations
 
 import abc
-import os
 from typing import Callable, Dict, List, Optional, Tuple, Type
 
 from repro.config.system import NetworkConfig
@@ -63,19 +62,6 @@ from repro.sim.resources import Reservation
 
 #: Backend name that defers the choice to the size heuristic.
 AUTO_BACKEND = "auto"
-
-#: Environment variable that, when set to a non-empty value other than "0",
-#: makes every simulation assert :meth:`NetworkBackend.check_accounting`
-#: after it finishes.  Backend-validation runs set it so batched/coalesced
-#: reservation paths cannot silently double-book a FIFO resource; it is off
-#: by default because large sweeps have no reason to pay even the small
-#: per-run scan.
-VALIDATE_ACCOUNTING_ENV = "REPRO_VALIDATE_ACCOUNTING"
-
-
-def accounting_checks_enabled() -> bool:
-    """Whether :data:`VALIDATE_ACCOUNTING_ENV` asks for post-run accounting checks."""
-    return os.environ.get(VALIDATE_ACCOUNTING_ENV, "") not in ("", "0")
 
 #: "auto" uses the detailed per-link model up to this many NPUs (the paper
 #: validates on small systems and sweeps with the fast model).  Raised from
@@ -199,9 +185,10 @@ class NetworkBackend(abc.ABC):
         Busy time above the horizon means reservations double-booked a FIFO
         resource — the failure mode batched/coalesced booking could
         introduce.  Backends with internal bandwidth resources override this
-        to raise :class:`~repro.errors.ResourceError` on violation;
-        backend-validation runs call it after every simulation.  The default
-        is a no-op for closed-form backends with nothing to double-book.
+        to raise :class:`~repro.errors.ResourceError` on violation; every
+        training and network-drive simulation calls it when it finishes.
+        The default is a no-op for closed-form backends with nothing to
+        double-book.
         """
 
 

@@ -1,8 +1,7 @@
 """Detailed per-link network backend (message-level, contention-aware).
 
 This is the ``"detailed"`` :class:`~repro.network.backend.NetworkBackend`:
-the execution-grade promotion of the message-level fabric model
-(:mod:`repro.network.fabric`) into the training loop.  Where the
+a message-level, per-link model of the training loop's fabric.  Where the
 ``"symmetric"`` backend aggregates each fabric dimension into one analytical
 pipe, this backend instantiates the representative NPU's *physical ports* —
 one :class:`~repro.network.links.Link` per provisioned link of each active
@@ -38,7 +37,7 @@ In the uncontended case the arithmetic matches the symmetric backend
 exactly (total time = bytes / aggregate-dimension-bandwidth + steps x link
 latency); under contention the two models diverge only through FIFO
 ordering and gap utilization, which is precisely what
-``experiments/backend_validation.py`` bounds (<= 5 % on <= 32-NPU systems,
+``experiments/validation.py`` bounds (<= 5 % on <= 32-NPU systems,
 the repo's analogue of the paper's model-validation claim).
 """
 

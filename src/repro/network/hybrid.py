@@ -16,7 +16,7 @@ message-level FIFO interleaving, store-and-forward hops and per-link
 observability; the cold dimensions keep closed-form speed.  This lets
 ``"hybrid"`` run fabrics far past the detailed backend's NPU cap while
 staying within a few percent of the fully detailed model on the small
-systems where both are feasible (``experiments/backend_validation.py``
+systems where both are feasible (``experiments/validation.py``
 bounds the disagreement).
 
 Hot-dimension selection

@@ -7,14 +7,15 @@ variable or the CLI's ``--dir`` flag.
 
 Compilation turns a validated :class:`~repro.scenarios.schema.Scenario` into
 the exact :class:`~repro.runner.SimJob` batch the hand-written harnesses
-build: ``training_grid`` suites compile through
+build: ``sweep`` suites compile through
 :func:`repro.experiments.common.grid_jobs`, ``cross_topology`` through
 :func:`repro.experiments.cross_topology.cross_topology_jobs`, and so on — so
 a manifest-driven run produces byte-identical job specs (and therefore cache
 keys) to the corresponding figure harness.  ``figure`` suites delegate to a
 harness run function (:data:`FIGURES`) for the few figures whose job
 parameters are computed rather than declared (e.g. Fig. 4's contended
-resource estimates).
+resource estimates); ``compare`` suites delegate to the paired
+model-validation harness (:mod:`repro.experiments.validation`).
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ import inspect
 import json
 import os
 from dataclasses import dataclass, field
+from itertools import product
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import ReproError, ScenarioError
 from repro.runner import SimJob, area_power_job, network_drive_job
@@ -223,118 +225,67 @@ def _check_workloads(values: Sequence[str]) -> None:
     _check_names(values, available_workloads(), "workload")
 
 
-def _check_pipeline_compat(workloads: Sequence[str], parallelism: Optional[str]) -> None:
-    """Reject pipeline parallelism over embedding workloads at compile time.
+def _check_pipeline_compat(
+    parallelisms: Sequence[Optional[str]],
+    workloads: Sequence[str],
+    traces: Sequence[Tuple[str, object]],
+    cost_table: Optional[str],
+) -> None:
+    """Reject pipeline parallelism over embedding workloads or traces.
 
     The training loop raises the same complaint, but from a worker process;
     manifests should fail at validation with the offending cell named.
     """
-    if parallelism is None or not str(parallelism).startswith("pipeline"):
+    pipelines = [p for p in parallelisms if p is not None and str(p).startswith("pipeline")]
+    if not pipelines:
         return
     from repro.errors import ConfigurationError
+    from repro.traces import lower_trace
     from repro.workloads.registry import build_workload
 
-    for name in workloads:
-        if build_workload(name).embedding is not None:
+    cells = [(f"workload {name!r}", build_workload(name)) for name in workloads]
+    cells += [(f"trace {name!r}", lower_trace(trace, cost_table)) for name, trace in traces]
+    for label, workload in cells:
+        if workload.embedding is not None:
             raise ConfigurationError(
-                f"pipeline parallelism ({parallelism!r}) cannot be applied to "
-                f"workload {name!r}: its model-parallel embedding stage has "
-                f"no pipeline-stage placement"
+                f"pipeline parallelism ({pipelines[0]!r}) cannot be applied to "
+                f"{label}: its model-parallel embedding stage has no "
+                f"pipeline-stage placement"
             )
 
 
-def _compile_training_grid(spec: Mapping[str, object]) -> List[SimJob]:
-    from repro.experiments.common import PAPER_SYSTEMS, grid_jobs
-
-    _check_systems(tuple(spec.get("systems", PAPER_SYSTEMS)))
-    _check_workloads(tuple(spec.get("workloads", ())))
-    _check_pipeline_compat(
-        tuple(spec.get("workloads", ("resnet50", "gnmt", "dlrm"))),
-        spec.get("parallelism"),
-    )
-    return grid_jobs(
-        systems=tuple(spec.get("systems", PAPER_SYSTEMS)),
-        workloads=tuple(spec.get("workloads", ("resnet50", "gnmt", "dlrm"))),
-        sizes=tuple(spec.get("sizes", (16, 32, 64, 128))),
-        iterations=int(spec.get("iterations", 2)),
-        fast=bool(spec.get("fast", True)),
-        overlap_embedding=bool(spec.get("overlap_embedding", False)),
-        fabric=spec.get("fabric"),
-        algorithm=str(spec.get("algorithm", "auto")),
-        backend=spec.get("backend"),
-        chunk_bytes=spec.get("chunk_bytes"),
-        parallelism=spec.get("parallelism"),
-        compute=spec.get("compute"),
-    )
-
-
 def _compile_sweep(spec: Mapping[str, object]) -> List[SimJob]:
-    """Server-side grid templating: one ``grid_jobs`` batch per outer-axis cell.
+    """Server-side grid templating: one batch of cells per outer-axis cell.
 
     The outer axes (fabric x backend x algorithm x parallelism x compute)
-    wrap the inner (workload x size x system) grid, and every combination routes
-    through :func:`repro.experiments.common.grid_jobs` — so the expansion is
-    byte-identical to hand-enumerating one ``training_grid`` suite per
-    combination, and identical specs hit identical cache keys.
+    wrap the inner grid.  Built-in workloads route through
+    :func:`repro.experiments.common.grid_jobs` (workload x size x system),
+    so the expansion is byte-identical to a hand-enumerated harness batch
+    and identical specs hit identical cache keys; ``fast`` picks their chunk
+    sizes.  Trace cells (trace x size x system) follow inside the same outer
+    cell and keep the declared ``chunk_bytes``.  Every trace file is loaded
+    — and therefore fully validated — here, so a broken
+    ``traces/<name>.json`` fails ``repro validate`` with the offending node
+    named instead of dying in a worker process.
     """
+    from repro.errors import ConfigurationError
     from repro.experiments.common import PAPER_SYSTEMS, grid_jobs
 
     systems = tuple(spec.get("systems", PAPER_SYSTEMS))
     _check_systems(systems)
-    workloads = tuple(spec.get("workloads", ("resnet50", "gnmt", "dlrm")))
+    traces = []
+    if spec.get("traces"):  # the trace toolchain is imported only when used
+        from repro.traces import find_trace
+
+        traces = [(name, find_trace(name)) for name in spec["traces"]]
+    workloads = tuple(spec.get("workloads", () if traces else ("resnet50", "gnmt", "dlrm")))
     _check_workloads(workloads)
-    sizes = tuple(spec.get("sizes", (16,)))
-    fabrics = tuple(spec.get("fabrics", (None,))) or (None,)
-    backends = tuple(spec.get("backends", (None,))) or (None,)
-    algorithms = tuple(spec.get("algorithms", ("auto",))) or ("auto",)
-    parallelisms = tuple(spec.get("parallelisms", (None,))) or (None,)
-    computes = tuple(spec.get("computes", (None,))) or (None,)
-    for parallelism in parallelisms:
-        _check_pipeline_compat(workloads, parallelism)
-    jobs: List[SimJob] = []
-    for fabric in fabrics:
-        for backend in backends:
-            for algorithm in algorithms:
-                for parallelism in parallelisms:
-                    for compute in computes:
-                        jobs.extend(
-                            grid_jobs(
-                                systems=systems,
-                                workloads=workloads,
-                                sizes=sizes,
-                                iterations=int(spec.get("iterations", 2)),
-                                fast=bool(spec.get("fast", True)),
-                                overlap_embedding=bool(spec.get("overlap_embedding", False)),
-                                fabric=fabric,
-                                algorithm=str(algorithm),
-                                backend=backend,
-                                chunk_bytes=spec.get("chunk_bytes"),
-                                parallelism=parallelism,
-                                compute=compute,
-                            )
-                        )
-    return jobs
-
-
-def _compile_trace(spec: Mapping[str, object]) -> List[SimJob]:
-    """Trace-driven training cells: (trace x outer axes x size x system).
-
-    Every trace file is loaded — and therefore fully validated — at compile
-    time, so a broken ``traces/<name>.json`` fails ``repro validate`` with
-    the offending node named instead of dying in a worker process.
-    """
-    from repro.experiments.common import PAPER_SYSTEMS
-    from repro.runner import trace_job
-    from repro.traces import find_trace
-    from repro.traces.cost import find_cost_table
-
-    systems = tuple(spec.get("systems", PAPER_SYSTEMS))
-    _check_systems(systems)
-    traces = tuple(spec["traces"])
-    for name in traces:
-        find_trace(name)
     cost_table = spec.get("cost_table")
     if cost_table is not None:
+        if not traces:
+            raise ConfigurationError("cost_table prices trace op descriptors; declare traces")
+        from repro.traces.cost import find_cost_table
+
         find_cost_table(str(cost_table))
     sizes = tuple(spec.get("sizes", (16,)))
     fabrics = tuple(spec.get("fabrics", (None,))) or (None,)
@@ -342,37 +293,47 @@ def _compile_trace(spec: Mapping[str, object]) -> List[SimJob]:
     algorithms = tuple(spec.get("algorithms", ("auto",))) or ("auto",)
     parallelisms = tuple(spec.get("parallelisms", (None,))) or (None,)
     computes = tuple(spec.get("computes", (None,))) or (None,)
-    if any(fabric is not None for fabric in fabrics) and len(set(sizes)) > 1:
-        from repro.errors import ConfigurationError
-
-        raise ConfigurationError(
-            f"a fabric spec fixes the platform size; pass a single-entry "
-            f"sizes instead of {sizes} (one fabric spec per size)"
-        )
+    iterations = int(spec.get("iterations", 2))
+    overlap_embedding = bool(spec.get("overlap_embedding", False))
+    chunk_bytes = spec.get("chunk_bytes")
+    _check_pipeline_compat(parallelisms, workloads, traces, cost_table)
     jobs: List[SimJob] = []
-    for trace in traces:
-        for fabric in fabrics:
-            for backend in backends:
-                for algorithm in algorithms:
-                    for parallelism in parallelisms:
-                        for compute in computes:
-                            for num_npus in sizes:
-                                for system in systems:
-                                    jobs.append(
-                                        trace_job(
-                                            system,
-                                            trace,
-                                            num_npus=None if fabric else num_npus,
-                                            fabric=fabric,
-                                            algorithm=str(algorithm),
-                                            backend=backend,
-                                            iterations=int(spec.get("iterations", 2)),
-                                            chunk_bytes=spec.get("chunk_bytes"),
-                                            cost_table=cost_table,
-                                            parallelism=parallelism,
-                                            compute=compute,
-                                        )
-                                    )
+    for fabric, backend, algorithm, parallelism, compute in product(
+        fabrics, backends, algorithms, parallelisms, computes
+    ):
+        axes = dict(
+            fabric=fabric,
+            algorithm=str(algorithm),
+            backend=backend,
+            iterations=iterations,
+            overlap_embedding=overlap_embedding,
+            parallelism=parallelism,
+            compute=compute,
+        )
+        jobs.extend(
+            grid_jobs(
+                systems=systems,
+                workloads=workloads,
+                sizes=sizes,
+                fast=bool(spec.get("fast", True)),
+                chunk_bytes=chunk_bytes,
+                **axes,
+            )
+        )
+        for trace, _ in traces:
+            for num_npus in sizes:
+                for system in systems:
+                    jobs.append(
+                        SimJob(
+                            kind="training",
+                            system=system,
+                            trace=trace,
+                            cost_table=cost_table,
+                            num_npus=None if fabric else num_npus,
+                            chunk_bytes=chunk_bytes,
+                            **axes,
+                        )
+                    )
     return jobs
 
 
@@ -416,64 +377,26 @@ def _compile_cross_topology(spec: Mapping[str, object]) -> List[SimJob]:
     )
 
 
-def _resolve_backend_validation(suite: Suite) -> "CompiledFigure":
-    """A delegating suite over the backend-pair validation harness.
+def _resolve_compare(suite: Suite) -> "CompiledFigure":
+    """A delegating suite over the paired model-validation harness.
 
-    The harness pairs every cell across the two validated backends
-    (default symmetric vs detailed; the ``backends`` field selects another
-    pair, e.g. detailed vs hybrid) and reports one *comparison* row per cell
-    (``time_rel_err``, ``exposed_delta_frac``), so a manifest can assert the
-    paper-style model-validation bound with a plain ``bound`` invariant.
+    The harness runs every cell once per side of the declared ``backends``
+    or ``computes`` pair and reports one comparison row per cell
+    (``time_rel_err``, ``exposed_delta_frac``, ``slowdown_frac``, ...), so a
+    manifest asserts the model-validation bound with plain ``bound``
+    invariants.  The paired jobs are built here, so a bad pair, an unknown
+    name or an over-cap cell fails ``repro validate``.
     """
-    from repro.experiments.backend_validation import run_backend_validation
+    from repro.experiments.validation import comparison_jobs, run_comparison
 
-    system = str(suite.spec.get("system", "ace"))
-    _check_systems((system,))
-    options: Dict[str, object] = {"system": system}
-    if "training_cells" in suite.spec:
-        options["training_cells"] = [tuple(cell) for cell in suite.spec["training_cells"]]
-    if "drive_cells" in suite.spec:
-        options["drive_cells"] = [tuple(cell) for cell in suite.spec["drive_cells"]]
-    if "iterations" in suite.spec:
-        options["iterations"] = int(suite.spec["iterations"])
-    if "backends" in suite.spec:
-        options["backends"] = tuple(str(name) for name in suite.spec["backends"])
-    pair = options.get("backends", ("symmetric", "detailed"))
-    runner = FigureRunner(
-        "backend_validation",
-        run_backend_validation,
-        f"{pair[0]} vs {pair[1]} backend agreement",
-    )
-    return CompiledFigure(figure=runner, options=options)
-
-
-def _resolve_compute_validation(suite: Suite) -> "CompiledFigure":
-    """A delegating suite over the compute-backend-pair validation harness.
-
-    Mirrors ``backend_validation`` for the *compute* axis: every training
-    cell runs once per compute backend (default roofline vs execution-unit)
-    and each comparison row carries ``time_rel_err``, ``exposed_delta_frac``
-    and the signed ``eu_slowdown_frac``, so a manifest can assert both the
-    10 % agreement bound and the execution-unit-never-faster invariant with
-    plain ``bound`` invariants.
-    """
-    from repro.experiments.compute_validation import run_compute_validation
-
-    system = str(suite.spec.get("system", "ace"))
-    _check_systems((system,))
-    options: Dict[str, object] = {"system": system}
-    if "training_cells" in suite.spec:
-        options["training_cells"] = [tuple(cell) for cell in suite.spec["training_cells"]]
-    if "iterations" in suite.spec:
-        options["iterations"] = int(suite.spec["iterations"])
-    if "backends" in suite.spec:
-        options["backends"] = tuple(str(name) for name in suite.spec["backends"])
-    pair = options.get("backends", ("roofline", "execution-unit"))
-    runner = FigureRunner(
-        "compute_validation",
-        run_compute_validation,
-        f"{pair[0]} vs {pair[1]} compute-backend agreement",
-    )
+    options: Dict[str, object] = {"system": "ace", **suite.spec}
+    _check_systems((str(options["system"]),))
+    for name in ("training_cells", "drive_cells"):
+        if name in options:
+            options[name] = [tuple(cell) for cell in options[name]]
+    comparison_jobs(**options)
+    pair = options.get("backends") or options["computes"]
+    runner = FigureRunner("compare", run_comparison, f"{pair[0]} vs {pair[1]} agreement")
     return CompiledFigure(figure=runner, options=options)
 
 
@@ -496,9 +419,7 @@ def _compile_area_power(spec: Mapping[str, object]) -> List[SimJob]:
 
 
 _COMPILERS: Dict[str, Callable[[Mapping[str, object]], List[SimJob]]] = {
-    "training_grid": _compile_training_grid,
     "sweep": _compile_sweep,
-    "trace": _compile_trace,
     "network_drive": _compile_network_drive,
     "cross_topology": _compile_cross_topology,
     "area_power": _compile_area_power,
@@ -512,10 +433,8 @@ def compile_suite(scenario: Scenario, index: int) -> CompiledSuite:
     try:
         if suite.kind == "figure":
             return CompiledSuite(suite=suite, figure=resolve_figure(suite, context))
-        if suite.kind == "backend_validation":
-            return CompiledSuite(suite=suite, figure=_resolve_backend_validation(suite))
-        if suite.kind == "compute_validation":
-            return CompiledSuite(suite=suite, figure=_resolve_compute_validation(suite))
+        if suite.kind == "compare":
+            return CompiledSuite(suite=suite, figure=_resolve_compare(suite))
         jobs = _COMPILERS[suite.kind](suite.spec)
     except ScenarioError:
         raise

@@ -17,7 +17,7 @@ A manifest looks like::
       "description": "Fast paper grid: resnet50 @ 16 NPUs, all five systems",
       "tags": ["paper", "fast"],
       "suites": [
-        {"kind": "training_grid", "workloads": ["resnet50"], "sizes": [16]}
+        {"kind": "sweep", "workloads": ["resnet50"], "sizes": [16]}
       ],
       "invariants": [
         {"kind": "ordering", "metric": "iteration_time_us",
@@ -39,7 +39,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ScenarioError
 
@@ -47,17 +47,7 @@ from repro.errors import ScenarioError
 SCHEMA_VERSION = 1
 
 #: Suite kinds a manifest may declare.
-SUITE_KINDS = (
-    "training_grid",
-    "sweep",
-    "trace",
-    "network_drive",
-    "cross_topology",
-    "backend_validation",
-    "compute_validation",
-    "area_power",
-    "figure",
-)
+SUITE_KINDS = ("sweep", "network_drive", "cross_topology", "compare", "area_power", "figure")
 
 #: Invariant kinds a manifest may assert over its result rows.
 INVARIANT_KINDS = ("ordering", "bound", "positive")
@@ -104,8 +94,8 @@ def _opt_str_field(data: Mapping[str, object], name: str, context: str) -> Optio
     return value
 
 
-def _bool_field(data: Mapping[str, object], name: str, context: str, default: bool) -> bool:
-    value = data.get(name, default)
+def _bool_field(data: Mapping[str, object], name: str, context: str) -> bool:
+    value = data[name]
     if not isinstance(value, bool):
         raise ScenarioError(f"{context}: field {name!r} must be a boolean, got {_type_name(value)}")
     return value
@@ -200,99 +190,143 @@ def _overrides_field(data: Mapping[str, object], name: str, context: str) -> Dic
     return json.loads(json.dumps(mapping))  # deep copy via plain JSON types
 
 
+#: A field validator: ``check(spec, field_name, context)`` raises a
+#: ScenarioError when the declared value has the wrong shape.
+_Check = Callable[[Mapping[str, object], str, str], object]
+
+
+def _str_pair_field(data: Mapping[str, object], name: str, context: str) -> None:
+    """Validate a pair of names, e.g. ``"backends": ["symmetric", "detailed"]``."""
+    pair = data[name]
+    ok = (
+        isinstance(pair, Sequence)
+        and not isinstance(pair, str)
+        and len(pair) == 2
+        and all(isinstance(item, str) for item in pair)
+    )
+    if not ok:
+        raise ScenarioError(f"{context}: field {name!r} must be a pair of names, got {pair!r}")
+
+
+def _cells_field(first: type, second: type) -> _Check:
+    """A validator for a list of ``[first, second]`` cells, e.g. ``["resnet50", 8]``."""
+
+    def check(data: Mapping[str, object], name: str, context: str) -> None:
+        cells = data[name]
+        if not isinstance(cells, Sequence) or isinstance(cells, str):
+            raise ScenarioError(f"{context}: field {name!r} must be a list of pairs")
+        for cell in cells:
+            ok = (
+                isinstance(cell, Sequence)
+                and not isinstance(cell, str)
+                and len(cell) == 2
+                and isinstance(cell[0], first)
+                and isinstance(cell[1], second)
+                and not isinstance(cell[1], bool)
+            )
+            if not ok:
+                raise ScenarioError(
+                    f"{context}: field {name!r} entries must be "
+                    f"[{first.__name__}, {second.__name__}] pairs, got {cell!r}"
+                )
+
+    return check
+
+
 # ---------------------------------------------------------------------------
 # Suites
 # ---------------------------------------------------------------------------
 
-#: Per-kind (allowed, required) manifest fields, beyond the common ``kind``.
-_SUITE_FIELDS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
-    "training_grid": (
-        (
-            "systems",
-            "workloads",
-            "sizes",
-            "iterations",
-            "fast",
-            "overlap_embedding",
-            "fabric",
-            "algorithm",
-            "backend",
-            "chunk_bytes",
-            "parallelism",
-            "compute",
-        ),
-        (),
-    ),
-    # Server-side grid templating: the product of every axis list expands into
-    # one ``training_grid`` batch per (fabric, backend, algorithm,
-    # parallelism) combination, compiled through the same
-    # :func:`repro.experiments.common.grid_jobs` path so expanded specs are
-    # byte-identical to hand-enumerated equivalents.  Axis entries of ``null``
-    # mean "the default" (canonical torus / preset backend / native
-    # parallelism).
+#: Per-kind manifest fields beyond the common ``kind``: each declared field
+#: maps to the validator that type-checks it, plus the fields a suite must
+#: declare.  Defaults are the loader's job, so that :meth:`Suite.to_dict`
+#: round-trips the manifest as written.
+_SUITE_FIELDS: Dict[str, Tuple[Dict[str, _Check], Tuple[str, ...]]] = {
+    # Server-side grid templating: the outer axes (fabrics x backends x
+    # algorithms x parallelisms x computes) wrap an inner (workload | trace)
+    # x size x system grid.  Built-in workloads compile through
+    # :func:`repro.experiments.common.grid_jobs`, so expanded specs are
+    # byte-identical to hand-enumerated equivalents; ``traces`` name
+    # operator-graph files (``traces/<name>.json``) priced by ``cost_table``.
+    # Axis entries of ``null`` mean "the default" (canonical torus / preset
+    # backend / native parallelism / preset compute model).
     "sweep": (
-        (
-            "systems",
-            "workloads",
-            "sizes",
-            "fabrics",
-            "backends",
-            "algorithms",
-            "parallelisms",
-            "computes",
-            "iterations",
-            "fast",
-            "overlap_embedding",
-            "chunk_bytes",
-        ),
+        {
+            "systems": _str_tuple_field,
+            "workloads": _str_tuple_field,
+            "traces": _str_tuple_field,
+            "sizes": _int_tuple_field,
+            "fabrics": _opt_str_list_field,
+            "backends": _opt_str_list_field,
+            "algorithms": _str_tuple_field,
+            "parallelisms": _opt_str_list_field,
+            "computes": _opt_str_list_field,
+            "iterations": _int_field,
+            "fast": _bool_field,
+            "overlap_embedding": _bool_field,
+            "chunk_bytes": _opt_int_field,
+            "cost_table": _opt_str_field,
+        },
         (),
-    ),
-    # Trace-driven training: the same outer axes as ``sweep`` but over
-    # operator-graph traces (``traces/<name>.json``) instead of built-in
-    # workloads, compiled to :func:`repro.runner.trace_job` specs.
-    "trace": (
-        (
-            "traces",
-            "systems",
-            "sizes",
-            "fabrics",
-            "backends",
-            "algorithms",
-            "parallelisms",
-            "computes",
-            "iterations",
-            "chunk_bytes",
-            "cost_table",
-        ),
-        ("traces",),
     ),
     "network_drive": (
-        (
-            "systems",
-            "payload_bytes",
-            "chunk_bytes",
-            "fabrics",
-            "algorithms",
-            "backends",
-            "ops",
-            "overrides",
-        ),
+        {
+            "systems": _str_tuple_field,
+            "payload_bytes": _int_field,
+            "chunk_bytes": _opt_int_field,
+            "fabrics": _str_tuple_field,
+            "algorithms": _str_tuple_field,
+            "backends": _opt_str_list_field,
+            "ops": _str_tuple_field,
+            "overrides": _overrides_field,
+        },
         ("payload_bytes", "fabrics"),
     ),
-    "cross_topology": (("op", "sizes", "systems", "payload_bytes", "chunk_bytes"), ()),
-    "backend_validation": (
-        ("system", "training_cells", "drive_cells", "iterations", "backends"),
+    "cross_topology": (
+        {
+            "op": _str_field,
+            "sizes": _int_tuple_field,
+            "systems": _str_tuple_field,
+            "payload_bytes": _opt_int_field,
+            "chunk_bytes": _opt_int_field,
+        },
         (),
     ),
-    # Roofline-vs-execution-unit compute-model validation (PR 3's playbook
-    # applied to compute fidelity); training cells only — the compute knob
-    # does not exist on network-drive jobs.
+    # Paired model validation: every cell once per side of the declared
+    # ``backends`` or ``computes`` pair (exactly one; name resolution
+    # against the registries happens at compile time).
+    "compare": (
+        {
+            "system": _str_field,
+            "backends": _str_pair_field,
+            "computes": _str_pair_field,
+            "training_cells": _cells_field(str, int),
+            "drive_cells": _cells_field(str, str),
+            "iterations": _int_field,
+        },
+        (),
+    ),
+    "area_power": ({"ace": _overrides_field}, ()),
+    "figure": (
+        {"figure": _str_field, "fast": _bool_field, "options": _overrides_field},
+        ("figure",),
+    ),
+}
+
+#: Suite kinds folded into a general kind, and how to migrate a manifest
+#: that still declares one.
+_FOLDED_KINDS: Dict[str, str] = {
+    "training_grid": (
+        "'sweep': axis fields become lists (fabric -> fabrics, backend -> "
+        "backends, algorithm -> algorithms, parallelism -> parallelisms, "
+        "compute -> computes) and 'sizes' defaults to [16]"
+    ),
+    "trace": "'sweep': its fields carry over unchanged",
+    "backend_validation": "'compare': declare the pair as 'backends'",
     "compute_validation": (
-        ("system", "training_cells", "iterations", "backends"),
-        (),
+        "'compare': declare the pair as 'computes'; rows carry 'slowdown_frac' "
+        "in place of 'eu_slowdown_frac'"
     ),
-    "area_power": (("ace",), ()),
-    "figure": (("figure", "fast", "options"), ("figure",)),
 }
 
 
@@ -313,173 +347,24 @@ class Suite:
         """Validate one manifest suite entry."""
         mapping = _expect_mapping(data, context)
         kind = _str_field(mapping, "kind", context, default="")
+        if kind in _FOLDED_KINDS:
+            raise ScenarioError(
+                f"{context}: suite kind {kind!r} was removed; use {_FOLDED_KINDS[kind]}"
+            )
         if kind not in SUITE_KINDS:
             raise ScenarioError(
                 f"{context}: unknown suite kind {kind!r}; expected one of {list(SUITE_KINDS)}"
             )
         context = f"{context} ({kind})"
-        allowed, required = _SUITE_FIELDS[kind]
-        _reject_unknown(mapping, ("kind",) + allowed, context)
+        checks, required = _SUITE_FIELDS[kind]
+        _reject_unknown(mapping, ("kind", *checks), context)
         for name in required:
             if name not in mapping:
                 raise ScenarioError(f"{context}: required field {name!r} is missing")
         spec = {key: value for key, value in mapping.items() if key != "kind"}
-        cls._validate_types(kind, spec, context)
+        for name in spec:
+            checks[name](spec, name, context)
         return cls(kind=kind, spec=json.loads(json.dumps(spec)))
-
-    @staticmethod
-    def _validate_types(kind: str, spec: Mapping[str, object], context: str) -> None:
-        """Type-check the declared fields (defaults are the loader's job)."""
-        if kind == "training_grid":
-            _str_tuple_field(spec, "systems", context)
-            _str_tuple_field(spec, "workloads", context)
-            _int_tuple_field(spec, "sizes", context)
-            if "iterations" in spec:
-                _int_field(spec, "iterations", context)
-            _bool_field(spec, "fast", context, True)
-            _bool_field(spec, "overlap_embedding", context, False)
-            _opt_str_field(spec, "fabric", context)
-            if "algorithm" in spec:
-                _str_field(spec, "algorithm", context)
-            _opt_str_field(spec, "backend", context)
-            _opt_int_field(spec, "chunk_bytes", context)
-            _opt_str_field(spec, "parallelism", context)
-            _opt_str_field(spec, "compute", context)
-        elif kind == "sweep":
-            _str_tuple_field(spec, "systems", context)
-            _str_tuple_field(spec, "workloads", context)
-            _int_tuple_field(spec, "sizes", context)
-            _opt_str_list_field(spec, "fabrics", context)
-            _opt_str_list_field(spec, "backends", context)
-            _str_tuple_field(spec, "algorithms", context)
-            _opt_str_list_field(spec, "parallelisms", context)
-            _opt_str_list_field(spec, "computes", context)
-            if "iterations" in spec:
-                _int_field(spec, "iterations", context)
-            _bool_field(spec, "fast", context, True)
-            _bool_field(spec, "overlap_embedding", context, False)
-            _opt_int_field(spec, "chunk_bytes", context)
-        elif kind == "trace":
-            _str_tuple_field(spec, "traces", context, required=True)
-            _str_tuple_field(spec, "systems", context)
-            _int_tuple_field(spec, "sizes", context)
-            _opt_str_list_field(spec, "fabrics", context)
-            _opt_str_list_field(spec, "backends", context)
-            _str_tuple_field(spec, "algorithms", context)
-            _opt_str_list_field(spec, "parallelisms", context)
-            _opt_str_list_field(spec, "computes", context)
-            if "iterations" in spec:
-                _int_field(spec, "iterations", context)
-            _opt_int_field(spec, "chunk_bytes", context)
-            _opt_str_field(spec, "cost_table", context)
-        elif kind == "network_drive":
-            _str_tuple_field(spec, "systems", context)
-            _int_field(spec, "payload_bytes", context)
-            _opt_int_field(spec, "chunk_bytes", context)
-            _str_tuple_field(spec, "fabrics", context, required=True)
-            _str_tuple_field(spec, "algorithms", context)
-            backends = spec.get("backends", [])
-            if not isinstance(backends, Sequence) or isinstance(backends, str):
-                raise ScenarioError(f"{context}: field 'backends' must be a list")
-            for item in backends:
-                if item is not None and not isinstance(item, str):
-                    raise ScenarioError(
-                        f"{context}: field 'backends' entries must be strings or null"
-                    )
-            _str_tuple_field(spec, "ops", context)
-            _overrides_field(spec, "overrides", context)
-        elif kind == "cross_topology":
-            if "op" in spec:
-                _str_field(spec, "op", context)
-            _int_tuple_field(spec, "sizes", context)
-            _str_tuple_field(spec, "systems", context)
-            _opt_int_field(spec, "payload_bytes", context)
-            _opt_int_field(spec, "chunk_bytes", context)
-        elif kind == "backend_validation":
-            if "system" in spec:
-                _str_field(spec, "system", context)
-            for name, kinds in (("training_cells", (str, int)), ("drive_cells", (str, str))):
-                cells = spec.get(name, [])
-                if not isinstance(cells, Sequence) or isinstance(cells, str):
-                    raise ScenarioError(f"{context}: field {name!r} must be a list of pairs")
-                for cell in cells:
-                    ok = (
-                        isinstance(cell, Sequence)
-                        and not isinstance(cell, str)
-                        and len(cell) == 2
-                        and isinstance(cell[0], kinds[0])
-                        and isinstance(cell[1], kinds[1])
-                        and not isinstance(cell[1], bool)
-                    )
-                    if not ok:
-                        raise ScenarioError(
-                            f"{context}: field {name!r} entries must be "
-                            f"[{kinds[0].__name__}, {kinds[1].__name__}] pairs, got {cell!r}"
-                        )
-            if "iterations" in spec:
-                _int_field(spec, "iterations", context)
-            if "backends" in spec:
-                # The validated pair, e.g. ["symmetric", "detailed"] (the
-                # default) or ["detailed", "hybrid"]; name resolution against
-                # the registry happens at compile time.
-                pair = spec["backends"]
-                ok = (
-                    isinstance(pair, Sequence)
-                    and not isinstance(pair, str)
-                    and len(pair) == 2
-                    and all(isinstance(name, str) for name in pair)
-                )
-                if not ok:
-                    raise ScenarioError(
-                        f"{context}: field 'backends' must be a pair of "
-                        f"backend names, got {pair!r}"
-                    )
-        elif kind == "compute_validation":
-            if "system" in spec:
-                _str_field(spec, "system", context)
-            cells = spec.get("training_cells", [])
-            if not isinstance(cells, Sequence) or isinstance(cells, str):
-                raise ScenarioError(
-                    f"{context}: field 'training_cells' must be a list of pairs"
-                )
-            for cell in cells:
-                ok = (
-                    isinstance(cell, Sequence)
-                    and not isinstance(cell, str)
-                    and len(cell) == 2
-                    and isinstance(cell[0], str)
-                    and isinstance(cell[1], int)
-                    and not isinstance(cell[1], bool)
-                )
-                if not ok:
-                    raise ScenarioError(
-                        f"{context}: field 'training_cells' entries must be "
-                        f"[str, int] pairs, got {cell!r}"
-                    )
-            if "iterations" in spec:
-                _int_field(spec, "iterations", context)
-            if "backends" in spec:
-                # The validated pair, e.g. ["roofline", "execution-unit"]
-                # (the default); name resolution against the compute-backend
-                # registry happens at compile time.
-                pair = spec["backends"]
-                ok = (
-                    isinstance(pair, Sequence)
-                    and not isinstance(pair, str)
-                    and len(pair) == 2
-                    and all(isinstance(name, str) for name in pair)
-                )
-                if not ok:
-                    raise ScenarioError(
-                        f"{context}: field 'backends' must be a pair of "
-                        f"compute backend names, got {pair!r}"
-                    )
-        elif kind == "area_power":
-            _overrides_field(spec, "ace", context)
-        elif kind == "figure":
-            _str_field(spec, "figure", context)
-            _bool_field(spec, "fast", context, True)
-            _overrides_field(spec, "options", context)
 
     def to_dict(self) -> Dict[str, object]:
         """The manifest form of this suite (``kind`` plus declared fields)."""

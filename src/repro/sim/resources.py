@@ -254,7 +254,7 @@ class BandwidthResource:
         reservations overlapped (double-booking) — exactly the failure mode
         batched/coalesced booking could introduce.  Raises
         :class:`~repro.errors.ResourceError` on violation.  Cheap (one
-        comparison); backend-validation runs call it after every simulation.
+        comparison); every training and network-drive simulation calls it.
         """
         if horizon_ns < 0:
             raise ResourceError(f"{self.name}: negative horizon {horizon_ns}")
@@ -314,7 +314,7 @@ class BandwidthResource:
         pipe, and clamping would silently mask that bug.  Presentation
         layers (the windowed utilization series, report tables) clamp for
         display; :meth:`check_accounting` turns a ratio above one into a
-        hard error in validation runs.
+        hard error at the end of every simulation.
         """
         if horizon_ns <= 0:
             return 0.0

@@ -31,7 +31,6 @@ from repro.compute.npu import NpuComputeEngine
 from repro.config.presets import torus_shape_for_npus
 from repro.config.system import EndpointKind, SystemConfig
 from repro.errors import ConfigurationError, SimulationError
-from repro.network.backend import accounting_checks_enabled
 from repro.network.topology import Topology, torus_from_shape
 from repro.sim.engine import Simulator
 from repro.sim.process import Process
@@ -398,10 +397,9 @@ class TrainingLoop:
             bwd_span += max(0.0, b_end - b_start)
 
         horizon = max(makespan, 1.0)
-        if accounting_checks_enabled():
-            # Backend-validation runs assert that no fabric FIFO double-booked
-            # busy time — the failure mode batched/coalesced booking could hide.
-            self.executor.fabric.check_accounting(horizon)
+        # No fabric FIFO may have double-booked busy time: the failure mode
+        # batched/coalesced booking could otherwise hide.
+        self.executor.fabric.check_accounting(horizon)
         result = TrainingResult(
             system_name=self.system.name,
             workload_name=self.workload.name,

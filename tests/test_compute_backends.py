@@ -34,6 +34,13 @@ from repro.compute import (
 from repro.config.presets import make_system
 from repro.config.system import ComputeConfig
 from repro.errors import ConfigurationError, ScenarioError
+from repro.experiments.validation import (
+    AXES,
+    comparison_jobs,
+    max_disagreement,
+    min_slowdown,
+    run_comparison,
+)
 from repro.runner import (
     SimJob,
     SweepRunner,
@@ -48,6 +55,7 @@ from repro.units import KB, MB, SECOND, TERA
 TFLOPS = 120.0
 BW_GBPS = 900.0
 OVERHEAD_NS = 2_000.0
+PAIR = ("roofline", "execution-unit")
 
 
 def _roofline() -> RooflineModel:
@@ -210,9 +218,7 @@ class TestExecutionUnitModel:
         )
         tr, te = roofline.kernel_time_ns(cost), eu.kernel_time_ns(cost)
         assert te >= tr
-        from repro.experiments.compute_validation import TOLERANCE
-
-        assert (te - tr) / tr <= TOLERANCE
+        assert (te - tr) / tr <= AXES["computes"].tolerance
 
     def test_inversion_round_trip(self):
         eu = _execution_unit()
@@ -398,10 +404,8 @@ class TestSimJobCompute:
         )
         roofline, eu = runner.run_values([roofline_job, eu_job])
         assert eu.total_time_ns > roofline.total_time_ns
-        from repro.experiments.compute_validation import TOLERANCE
-
         rel = (eu.total_time_ns - roofline.total_time_ns) / roofline.total_time_ns
-        assert rel <= TOLERANCE
+        assert rel <= AXES["computes"].tolerance
 
 
 class TestTraceInversion:
@@ -480,39 +484,31 @@ class TestTraceInversion:
 
 class TestComputeValidationHarness:
     def test_backend_pair_validation(self):
-        from repro.experiments.compute_validation import compute_validation_jobs
-
         with pytest.raises(ConfigurationError, match="two distinct"):
-            compute_validation_jobs(backends=("roofline",))
+            comparison_jobs(computes=("roofline",))
         with pytest.raises(ConfigurationError, match="two distinct"):
-            compute_validation_jobs(backends=("roofline", "roofline"))
+            comparison_jobs(computes=("roofline", "roofline"))
         with pytest.raises(ConfigurationError, match="unknown compute backend"):
-            compute_validation_jobs(backends=("roofline", "bogus"))
+            comparison_jobs(computes=("roofline", "bogus"))
 
     def test_jobs_are_paired_per_cell(self):
-        from repro.experiments.compute_validation import compute_validation_jobs
-
-        jobs = compute_validation_jobs(training_cells=(("resnet50", 8), ("dlrm", 8)))
+        jobs = comparison_jobs(
+            computes=PAIR, training_cells=(("resnet50", 8), ("dlrm", 8))
+        )
         assert len(jobs) == 4
         assert [job.compute for job in jobs] == [
             "roofline", "execution-unit", "roofline", "execution-unit",
         ]
 
     def test_single_cell_run_meets_the_bound(self):
-        from repro.experiments.compute_validation import (
-            TOLERANCE,
-            max_disagreement,
-            min_slowdown,
-            run_compute_validation,
-        )
-
-        rows = run_compute_validation(
+        rows = run_comparison(
+            computes=PAIR,
             training_cells=(("resnet50", 8),),
             iterations=1,
             runner=SweepRunner(workers=1, cache=ResultCache()),
         )
         assert len(rows) == 1
-        assert max_disagreement(rows) <= TOLERANCE
+        assert max_disagreement(rows) <= AXES["computes"].tolerance
         assert min_slowdown(rows) >= 0.0
 
 
@@ -536,15 +532,16 @@ class TestScenarioPlumbing:
 
         scenario = self._scenario(
             [{
-                "kind": "compute_validation",
+                "kind": "compare",
                 "system": "ace",
+                "computes": ["roofline", "execution-unit"],
                 "training_cells": [["resnet50", 8]],
                 "iterations": 1,
             }]
         )
         compiled = compile_suite(scenario, 0)
         assert compiled.is_figure
-        assert compiled.figure.figure.name == "compute_validation"
+        assert compiled.figure.figure.name == "compare"
         assert compiled.figure.options["training_cells"] == [("resnet50", 8)]
 
     def test_training_grid_compute_key_threads_to_jobs(self):
@@ -552,9 +549,9 @@ class TestScenarioPlumbing:
 
         scenario = self._scenario(
             [{
-                "kind": "training_grid", "systems": ["ace"],
+                "kind": "sweep", "systems": ["ace"],
                 "workloads": ["resnet50"], "sizes": [8],
-                "compute": "execution-unit",
+                "computes": ["execution-unit"],
             }]
         )
         jobs = scenario_jobs(scenario)
@@ -576,8 +573,8 @@ class TestScenarioPlumbing:
         with pytest.raises(ScenarioError, match="compute"):
             self._scenario(
                 [{
-                    "kind": "training_grid", "workloads": ["resnet50"],
-                    "sizes": [8], "compute": 5,
+                    "kind": "sweep", "workloads": ["resnet50"],
+                    "sizes": [8], "computes": [5],
                 }]
             )
 
@@ -585,7 +582,8 @@ class TestScenarioPlumbing:
         with pytest.raises(ScenarioError, match="training_cells"):
             self._scenario(
                 [{
-                    "kind": "compute_validation",
+                    "kind": "compare",
+                    "computes": ["roofline", "execution-unit"],
                     "training_cells": [["resnet50", 8, "extra"]],
                 }]
             )
@@ -600,7 +598,7 @@ class TestScenarioPlumbing:
         assert len(compiled) == 1
         assert compiled[0].is_figure
         metrics = {invariant.metric for invariant in scenario.invariants}
-        assert {"time_rel_err", "exposed_delta_frac", "eu_slowdown_frac"} <= metrics
+        assert {"time_rel_err", "exposed_delta_frac", "slowdown_frac"} <= metrics
 
 
 class TestKnobsDocCrossReference:

@@ -17,13 +17,13 @@ import pytest
 from repro.collectives.base import CollectiveOp
 from repro.config.presets import make_system
 from repro.errors import ConfigurationError, ResourceError
-from repro.experiments.backend_validation import run_backend_validation
+from repro.experiments.validation import run_comparison
 from repro.network import (
     MAX_DETAILED_NPUS,
     MAX_HYBRID_NPUS,
     topology_from_spec,
 )
-from repro.network.backend import VALIDATE_ACCOUNTING_ENV, make_network_backend
+from repro.network.backend import make_network_backend
 from repro.network.detailed import DetailedBackend
 from repro.network.hybrid import HybridBackend, most_contended_dimension
 from repro.runner import ResultCache, SimJob, SweepRunner
@@ -173,7 +173,7 @@ class TestHybridBackend:
     def test_hybrid_tracks_detailed_within_validation_tolerance(self):
         """The new rung's analogue of the paper's model-validation claim:
         hybrid vs fully detailed agree within 5% on small cells."""
-        rows = run_backend_validation(
+        rows = run_comparison(
             training_cells=(("resnet50", 8),),
             drive_cells=(
                 ("torus:4x2x2", "all_reduce"),
@@ -212,9 +212,9 @@ class TestHybridBackend:
 
     def test_validation_rejects_a_non_pair(self):
         with pytest.raises(ConfigurationError, match="two distinct"):
-            run_backend_validation(backends=("detailed",))
+            run_comparison(backends=("detailed",))
         with pytest.raises(ConfigurationError, match="two distinct"):
-            run_backend_validation(backends=("detailed", "detailed"))
+            run_comparison(backends=("detailed", "detailed"))
 
 
 class TestSpecHashPinning:
@@ -270,20 +270,35 @@ class TestCacheMaintenance:
 
 
 class TestAccountingFlag:
-    def test_flag_runs_accounting_checks_clean(self, monkeypatch):
-        monkeypatch.setenv(VALIDATE_ACCOUNTING_ENV, "1")
+    """Every simulation ends with the fabric's double-booking check."""
+
+    def test_flag_runs_accounting_checks_clean(self):
         for backend in ("symmetric", "detailed", "hybrid"):
             job = SimJob(
                 workload="resnet50", num_npus=16, iterations=1, backend=backend
             )
             assert job.execute().iteration_time_us > 0
 
-    def test_flag_off_values(self, monkeypatch):
-        from repro.network.backend import accounting_checks_enabled
+    @pytest.mark.parametrize(
+        "job",
+        [
+            SimJob(workload="resnet50", num_npus=16, iterations=1),
+            SimJob(kind="network_drive", fabric="torus:4x2x2", payload_bytes=MB),
+        ],
+        ids=["training", "network_drive"],
+    )
+    def test_double_booked_fabric_raises_without_opt_in(self, monkeypatch, job):
+        """A booking defect that leaves a pipe busier than the whole run
+        must fail the job itself, with no environment variable set: a warm
+        worker pool or the daemon never sees one set in the parent."""
+        monkeypatch.delenv("REPRO_VALIDATE_ACCOUNTING", raising=False)
+        book = BandwidthResource.reserve_times
 
-        monkeypatch.delenv(VALIDATE_ACCOUNTING_ENV, raising=False)
-        assert not accounting_checks_enabled()
-        monkeypatch.setenv(VALIDATE_ACCOUNTING_ENV, "0")
-        assert not accounting_checks_enabled()
-        monkeypatch.setenv(VALIDATE_ACCOUNTING_ENV, "1")
-        assert accounting_checks_enabled()
+        def double_book(self, num_bytes, earliest_start):
+            start, finish = book(self, num_bytes, earliest_start)
+            self._busy_time += 1e12
+            return start, finish
+
+        monkeypatch.setattr(BandwidthResource, "reserve_times", double_book)
+        with pytest.raises(ResourceError, match="busy"):
+            job.execute()

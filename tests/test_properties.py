@@ -9,7 +9,7 @@ from repro.collectives.hierarchical import hierarchical_all_reduce_plan
 from repro.collectives.ring import ring_all_reduce, ring_reduce_scatter
 from repro.config.presets import SYSTEM_CONFIG_NAMES
 from repro.network.messages import split_payload
-from repro.network.routing import hop_count, ring_distance, xyz_route
+from repro.network.routing import ring_distance
 from repro.network.topology import Torus3D
 from repro.runner import SimJob
 from repro.sim.engine import Simulator
@@ -91,29 +91,6 @@ def test_ring_distance_bounds_and_symmetry(size, src, dst):
     assert direction in (+1, -1)
     back_hops, _ = ring_distance(size, dst, src)
     assert back_hops == hops
-
-
-@DEFAULT_SETTINGS
-@given(
-    shape=st.tuples(
-        st.integers(min_value=1, max_value=4),
-        st.integers(min_value=1, max_value=4),
-        st.integers(min_value=1, max_value=4),
-    ).filter(lambda s: s[0] * s[1] * s[2] >= 2),
-    data=st.data(),
-)
-def test_xyz_route_delivers_and_is_bounded(shape, data):
-    torus = Torus3D(*shape)
-    src = data.draw(st.integers(min_value=0, max_value=torus.num_nodes - 1))
-    dst = data.draw(st.integers(min_value=0, max_value=torus.num_nodes - 1))
-    route = xyz_route(torus, src, dst)
-    if src == dst:
-        assert route == []
-    else:
-        assert route[0][0] == src
-        assert route[-1][1] == dst
-    max_hops = sum(s // 2 for s in shape)
-    assert hop_count(torus, src, dst) <= max_hops
 
 
 @DEFAULT_SETTINGS

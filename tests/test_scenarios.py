@@ -9,6 +9,7 @@ property that any generated manifest compiles to hashable jobs.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -96,13 +97,13 @@ class TestSchema:
 
     def test_unknown_suite_field_names_the_field_and_suite(self):
         data = minimal_manifest(
-            suites=[{"kind": "training_grid", "workloadz": ["resnet50"]}]
+            suites=[{"kind": "sweep", "workloadz": ["resnet50"]}]
         )
         with pytest.raises(ScenarioError, match=r"suite #0.*workloadz"):
             Scenario.from_dict(data)
 
     def test_suite_field_type_error(self):
-        data = minimal_manifest(suites=[{"kind": "training_grid", "sizes": "16"}])
+        data = minimal_manifest(suites=[{"kind": "sweep", "sizes": "16"}])
         with pytest.raises(ScenarioError, match="'sizes' must be a list of integers"):
             Scenario.from_dict(data)
 
@@ -179,14 +180,14 @@ class TestLoader:
 
     def test_unknown_system_name_fails_at_compile_time(self):
         data = minimal_manifest(
-            suites=[{"kind": "training_grid", "systems": ["acee"], "sizes": [16]}]
+            suites=[{"kind": "sweep", "systems": ["acee"], "sizes": [16]}]
         )
         with pytest.raises(ScenarioError, match=r"unknown system name\(s\) \['acee'\]"):
             compile_scenario(Scenario.from_dict(data))
 
     def test_unknown_workload_name_fails_at_compile_time(self):
         data = minimal_manifest(
-            suites=[{"kind": "training_grid", "workloads": ["resnet51"], "sizes": [16]}]
+            suites=[{"kind": "sweep", "workloads": ["resnet51"], "sizes": [16]}]
         )
         with pytest.raises(ScenarioError, match="unknown workload name"):
             compile_scenario(Scenario.from_dict(data))
@@ -310,6 +311,138 @@ class TestLoader:
         )
         with pytest.raises(ConfigurationError, match="pipeline"):
             scenario_jobs(scenario)
+
+    def test_sweep_rejects_pipeline_over_embedding_traces(self):
+        scenario = Scenario.from_dict(
+            minimal_manifest(
+                suites=[
+                    {
+                        "kind": "sweep",
+                        "traces": ["dlrm-micro"],
+                        "parallelisms": ["pipeline:2x4"],
+                    }
+                ]
+            )
+        )
+        with pytest.raises(ScenarioError, match="trace 'dlrm-micro'"):
+            compile_scenario(scenario)
+
+    def test_sweep_places_trace_cells_after_workloads_in_each_outer_cell(self):
+        scenario = Scenario.from_dict(
+            minimal_manifest(
+                suites=[
+                    {
+                        "kind": "sweep",
+                        "systems": ["ace"],
+                        "workloads": ["resnet50"],
+                        "traces": ["moe-transformer"],
+                        "sizes": [16],
+                        "backends": ["symmetric", "hybrid"],
+                        "chunk_bytes": 1048576,
+                    }
+                ]
+            )
+        )
+        jobs = scenario_jobs(scenario)
+        assert [(job.backend, job.workload, job.trace) for job in jobs] == [
+            ("symmetric", "resnet50", None),
+            ("symmetric", None, "moe-transformer"),
+            ("hybrid", "resnet50", None),
+            ("hybrid", None, "moe-transformer"),
+        ]
+        assert {job.chunk_bytes for job in jobs} == {1048576}
+
+    def test_sweep_cost_table_needs_traces(self):
+        scenario = Scenario.from_dict(
+            minimal_manifest(suites=[{"kind": "sweep", "cost_table": "v100"}])
+        )
+        with pytest.raises(ScenarioError, match="declare traces"):
+            compile_scenario(scenario)
+
+    @pytest.mark.parametrize(
+        "kind, replacement",
+        [
+            ("training_grid", "sweep"),
+            ("trace", "sweep"),
+            ("backend_validation", "compare"),
+            ("compute_validation", "compare"),
+        ],
+    )
+    def test_folded_suite_kind_names_its_replacement(self, kind, replacement):
+        data = minimal_manifest(suites=[{"kind": kind}])
+        with pytest.raises(ScenarioError, match=f"{kind!r} was removed; use {replacement!r}"):
+            Scenario.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "suite, match",
+        [
+            ({}, "exactly one"),
+            ({"backends": ["symmetric", "detailed"], "computes": ["roofline", "auto"]}, "exactly one"),
+            ({"backends": ["symmetric", "symmetric"]}, "two distinct"),
+            ({"computes": ["roofline", "bogus"]}, "unknown compute backend"),
+            ({"backends": ["symmetric", "detailed"], "training_cells": [["dlrm", 64]]}, "<= 32"),
+            ({"computes": ["roofline", "auto"], "drive_cells": [["fc:16", "all_reduce"]]}, "training"),
+        ],
+    )
+    def test_compare_suite_is_checked_at_compile_time(self, suite, match):
+        scenario = Scenario.from_dict(minimal_manifest(suites=[{"kind": "compare", **suite}]))
+        with pytest.raises(ScenarioError, match=match):
+            compile_scenario(scenario)
+
+    def test_compare_pair_must_be_two_names(self):
+        data = minimal_manifest(suites=[{"kind": "compare", "backends": ["symmetric"]}])
+        with pytest.raises(ScenarioError, match="'backends' must be a pair of names"):
+            Scenario.from_dict(data)
+
+
+# ---------------------------------------------------------------------------
+# Pinned job lists: manifest edits and loader refactors must not move a spec
+# ---------------------------------------------------------------------------
+
+
+def _job_list_digest(jobs) -> str:
+    joined = "\n".join(job.to_json() for job in jobs)
+    return hashlib.sha256(joined.encode("utf-8")).hexdigest()[:12]
+
+
+class TestPinnedJobLists:
+    """Every shipped manifest compiles to the same specs, in the same order.
+
+    The digests are the sha256 (first 12 hex digits) of the newline-joined
+    canonical ``SimJob.to_json()`` of each job list; a change to any spec,
+    its position, or the list length changes the digest.
+    """
+
+    @pytest.mark.parametrize(
+        "name, count, digest",
+        [
+            ("paper-full", 60, "d99c18c4c863"),
+            ("paper-fast", 5, "9fc74d1cf965"),
+            ("fig11-scaling", 20, "cb94cd4b6d9e"),
+            ("megatron-tp-scaling", 9, "0b94416749b7"),
+            ("moe-trace", 9, "90c2ae83019c"),
+        ],
+    )
+    def test_grid_manifest_job_list_is_pinned(self, name, count, digest):
+        jobs = scenario_jobs(find_scenario(name, SCENARIO_DIR))
+        assert len(jobs) == count
+        assert _job_list_digest(jobs) == digest
+
+    @pytest.mark.parametrize(
+        "name, count, digest",
+        [
+            ("backend-validation", 12, "58973e2684b2"),
+            ("hybrid-scale", 12, "5dc999c963e9"),
+            ("compute-validation", 14, "76977c9dd26d"),
+        ],
+    )
+    def test_comparison_manifest_paired_jobs_are_pinned(self, name, count, digest):
+        from repro.experiments.validation import comparison_jobs
+
+        compiled = compile_scenario(find_scenario(name, SCENARIO_DIR))[0]
+        jobs = comparison_jobs(**compiled.figure.options)
+        assert len(jobs) == count
+        assert _job_list_digest(jobs) == digest
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +668,7 @@ _SIZES = st.lists(
 def manifests(draw):
     suites = [
         {
-            "kind": "training_grid",
+            "kind": "sweep",
             "systems": draw(_SYSTEMS),
             "workloads": draw(_WORKLOADS),
             "sizes": draw(_SIZES),
